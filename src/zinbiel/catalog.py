@@ -302,9 +302,3 @@ def get_algebra(fixture_id: str, params=None) -> Algebra:
 
 def all_ids() -> list[str]:
     return base_algebra_ids() + flag_family_ids() + extension_ids()
-
-
-def verify_paper(only=None, catalog_overrides=None, rng_seed=0):
-    """Run the acceptance criteria; see the acceptance module."""
-    from .acceptance import verify_paper as run
-    return run(only=only, catalog_overrides=catalog_overrides, rng_seed=rng_seed)

@@ -3,8 +3,9 @@
 Verbs: check, build, extract, solve, catalog, verify.  Exit codes are
 uniform: 0 for success or a passing check, 1 for a failing check or a
 refused build (witnesses always printed), 2 for unusable input, whether
-that is bad arguments, unreadable files, malformed JSON or a document
-that does not match its layout.
+that is bad arguments, unreadable files, malformed JSON, a document
+that does not match its layout, or a structure whose base or top
+algebra is not Zinbiel.
 """
 
 from __future__ import annotations
@@ -76,20 +77,25 @@ def _print_report(report, as_json):
     print(f"report: {'PASS' if report.passed else 'FAIL'}")
 
 
+def _checked(path, check, value):
+    # A check refuses input that misses its precondition, such as a base
+    # algebra that is not Zinbiel; that input is unusable, so exit 2.
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise CLIError(2, f"{path}: {exc}") from None
+
+
 def _cmd_check(args) -> int:
-    kind = args.subject
-    if kind == "zinbiel":
-        report = is_zinbiel(_parse(args.path, algebra_from_json))
-    elif kind == "datum":
-        report = verify_datum(_parse(args.path, datum_from_json))
-    elif kind == "crossed":
-        report, _ = crossed(_parse(args.path, crossed_from_json))
-    elif kind == "matched":
-        report, _ = bicrossed(_parse(args.path, matched_from_json))
-    elif kind == "flag":
-        report = verify_flag(_parse(args.path, flag_datum_from_json))
-    else:
-        report = is_bimodule(_parse(args.path, bimodule_from_json))
+    reader, check = {
+        "zinbiel": (algebra_from_json, is_zinbiel),
+        "datum": (datum_from_json, verify_datum),
+        "crossed": (crossed_from_json, lambda cs: crossed(cs)[0]),
+        "matched": (matched_from_json, lambda mp: bicrossed(mp)[0]),
+        "flag": (flag_datum_from_json, verify_flag),
+        "bimodule": (bimodule_from_json, is_bimodule),
+    }[args.subject]
+    report = _checked(args.path, check, _parse(args.path, reader))
     _print_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -110,13 +116,13 @@ def _cmd_build(args) -> int:
                        f"got {len(paths)}")
     if kind == "unified":
         d = _parse(paths[0], datum_from_json)
-        report = verify_datum(d)
+        report = _checked(paths[0], verify_datum, d)
         if not report.passed and not args.force:
             return _refuse(report, args.json)
         alg = build_unified(d, force=True)
     elif kind == "semidirect":
         b = _parse(paths[0], bimodule_from_json)
-        report = is_bimodule(b)
+        report = _checked(paths[0], is_bimodule, b)
         if not report.passed and not args.force:
             return _refuse(report, args.json)
         if report.passed:
@@ -128,7 +134,8 @@ def _cmd_build(args) -> int:
                 Tensor3.zero(m, n, n), Tensor3.zero(m, m, n),
                 Tensor3.zero(m, m, m)), force=True)
     elif kind == "crossed":
-        report, alg = crossed(_parse(paths[0], crossed_from_json))
+        report, alg = _checked(paths[0], crossed,
+                               _parse(paths[0], crossed_from_json))
         if not report.passed and not args.force:
             return _refuse(report, args.json)
     elif kind == "bicrossed":
@@ -137,7 +144,7 @@ def _cmd_build(args) -> int:
             return _refuse(report, args.json)
     elif kind == "flag":
         fd = _parse(paths[0], flag_datum_from_json)
-        report = verify_flag(fd)
+        report = _checked(paths[0], verify_flag, fd)
         if not report.passed and not args.force:
             return _refuse(report, args.json)
         alg = build_unified(flag_to_datum(fd), force=True)

@@ -51,11 +51,6 @@ class Algebra:
         return cls(dim, Tensor3.from_map(dim, dim, dim, mapping),
                    tuple(names) if names is not None else None)
 
-    def basis_names(self) -> tuple[str, ...]:
-        if self.names is not None:
-            return self.names
-        return tuple(f"e{i + 1}" for i in range(self.dim))
-
     def product(self, u: Vec, v: Vec) -> Vec:
         return self.mult.combine(u, v)
 

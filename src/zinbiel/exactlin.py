@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-Rational = Fraction
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -60,10 +58,6 @@ def vscale(c: Fraction, u: Vec) -> Vec:
 def vunit(n: int, i: int) -> Vec:
     """Standard basis vector e_i (0-based) in dimension n."""
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def is_vzero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
 
 
 # -- matrices --------------------------------------------------------------
@@ -182,18 +176,12 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def _primitive(v: list[Fraction]) -> Vec:
-    # clear denominators, divide by content, keep the sign as given
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _integer_row(v) -> tuple[int, ...]:
+    # the primitive integer multiple of a rational row, sign kept
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def nullspace(m: Matrix) -> list[Vec]:
@@ -201,20 +189,45 @@ def nullspace(m: Matrix) -> list[Vec]:
 
     Basis vectors are primitive integer vectors with the free coordinate
     equal to +1, ordered by free column index.
+
+    Each row is cleared to a primitive integer vector, and zero and
+    repeated rows are dropped; neither changes the row space, so the
+    reduced echelon form is unchanged.  Fraction-free Gauss-Jordan over
+    the integers then divides every updated row by its content, which
+    keeps the entries small.
     """
     if m.cols == 0:
         return []
-    if m.rows == 0:
-        return [vunit(m.cols, j) for j in range(m.cols)]
-    red, pivots = rref(m)
+    rows = (m.row(i) for i in range(m.rows))
+    grid = [list(row) for row in
+            dict.fromkeys(_integer_row(row) for row in rows if any(row))]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(grid):
+            break
+        pr = next((i for i in range(r, len(grid)) if grid[i][c]), None)
+        if pr is None:
+            continue
+        grid[r], grid[pr] = grid[pr], grid[r]
+        prow = grid[r]
+        p = prow[c]
+        for i, row in enumerate(grid):
+            f = row[c]
+            if i != r and f:
+                new = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                grid[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [ZERO] * m.cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
-        basis.append(_primitive(v))
+        for row, pc in zip(grid, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(tuple(Fraction(x) for x in _integer_row(v)))
     return basis
 
 
@@ -349,17 +362,10 @@ class MultiPoly:
         coefficient.  Canonical representative of the scalar multiple class."""
         if not self.terms:
             return self
-        den = 1
-        for _, c in self.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for _, c in self.terms]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if self.terms[0][1] < 0:
-            g = -g
+        ints = _integer_row([c for _, c in self.terms])
+        sign = -1 if ints[0] < 0 else 1
         return MultiPoly(self.variables, tuple(
-            (e, Fraction(int(c * den) // g)) for e, c in self.terms))
+            (e, Fraction(sign * x)) for (e, _), x in zip(self.terms, ints)))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -185,24 +185,53 @@ class SolutionFamily:
         return len(self.linear_basis)
 
 
-def _linear_rows(n: int, shaped_conditions) -> Matrix:
-    # Conditions are linear homogeneous in the unknown matrix, so the
-    # coefficient of unknown entry (i, j) in each scalar equation is the
-    # equation's value at the elementary matrix E_ij.
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    columns = []
-    for (i, j) in cells:
-        unit = Matrix.from_rows(
-            [[1 if (a, b) == (i, j) else 0 for b in range(n)]
-             for a in range(n)])
-        scalars = []
-        for cond in shaped_conditions:
-            for value in cond(unit):
-                scalars.append(value)
-        columns.append(scalars)
-    rows = [[columns[c][r] for c in range(len(cells))]
-            for r in range(len(columns[0]))]
-    return Matrix.from_rows(rows) if rows else Matrix.zero(0, n * n)
+def _reduced_system(z: Algebra, mu: Vec, mode: str) -> Matrix:
+    # Every condition is linear in the unknown X, so its coefficients are
+    # read straight off the structure constants.  Rows: mu(X(e_i)) = 0 for
+    # each i, then the two pair families, each at (i, j, k) for the k-th
+    # coordinate of the condition on (e_i, e_j).  X_ab sits in column
+    # a n + b.
+    n = z.dim
+    mult = [[z.basis_product(i, j) for j in range(n)] for i in range(n)]
+
+    def image(v, k):            # X(v)_k
+        return ((b * n + k, v[b]) for b in range(n))
+
+    def left(i, j, k):          # (X(e_i).e_j)_k
+        return ((i * n + b, mult[b][j][k]) for b in range(n))
+
+    def right(i, j, k):         # (e_i.X(e_j))_k
+        return ((j * n + b, mult[i][b][k]) for b in range(n))
+
+    def row(plus=(), minus=()):
+        out = [ZERO] * (n * n)
+        for col, c in plus:
+            if c:
+                out[col] += c
+        for col, c in minus:
+            if c:
+                out[col] -= c
+        return out
+
+    rows = [row((i * n + b, mu[b]) for b in range(n)) for i in range(n)]
+    first, second = [], []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if mode == "D":
+            # x.D(y) = 0
+            first.append(row(right(i, j, k)))
+            # F3: D(x.y) + D(y.x) = D(x).y + mu(x) D(y)
+            second.append(row(
+                itertools.chain(image(mult[i][j], k), image(mult[j][i], k)),
+                itertools.chain(left(i, j, k), [(j * n + k, mu[i])])))
+        else:
+            # F4: T(x.y) = T(x).y
+            first.append(row(image(mult[i][j], k), left(i, j, k)))
+            # F4x: T(x).y = x.T(y) + mu(y) T(x)
+            second.append(row(
+                left(i, j, k),
+                itertools.chain(right(i, j, k), [(i * n + k, mu[j])])))
+    rows += first + second
+    return Matrix(len(rows), n * n, tuple(itertools.chain.from_iterable(rows)))
 
 
 def solve_reduced(z: Algebra, mu, mode: str) -> SolutionFamily:
@@ -227,57 +256,7 @@ def solve_reduced(z: Algebra, mu, mode: str) -> SolutionFamily:
     mu = tuple(rat(c) for c in mu)
     if len(mu) != n:
         raise ValueError("mu must be a length-n functional")
-    e = z.unit
-    prod = z.product
-
-    def mu_of(v: Vec) -> Fraction:
-        return sum((c * m for c, m in zip(v, mu)), ZERO)
-
-    pairs = list(itertools.product(range(n), range(n)))
-    conds = []
-    if mode == "D":
-        def mu_comp(m):
-            return [mu_of(m.apply(e(i))) for i in range(n)]
-
-        def left_mult(m):
-            out = []
-            for i, j in pairs:
-                out.extend(prod(e(i), m.apply(e(j))))
-            return out
-
-        def f3(m):
-            out = []
-            for i, j in pairs:
-                lhs = vadd(m.apply(prod(e(i), e(j))), m.apply(prod(e(j), e(i))))
-                rhs = vadd(prod(m.apply(e(i)), e(j)),
-                           vscale(mu[i], m.apply(e(j))))
-                out.extend(vsub(lhs, rhs))
-            return out
-
-        conds = [mu_comp, left_mult, f3]
-    else:
-        def mu_comp(m):
-            return [mu_of(m.apply(e(i))) for i in range(n)]
-
-        def f4(m):
-            out = []
-            for i, j in pairs:
-                out.extend(vsub(m.apply(prod(e(i), e(j))),
-                                prod(m.apply(e(i)), e(j))))
-            return out
-
-        def f4x(m):
-            out = []
-            for i, j in pairs:
-                lhs = prod(m.apply(e(i)), e(j))
-                rhs = vadd(prod(e(i), m.apply(e(j))),
-                           vscale(mu[j], m.apply(e(i))))
-                out.extend(vsub(lhs, rhs))
-            return out
-
-        conds = [mu_comp, f4, f4x]
-
-    system = _linear_rows(n, conds)
+    system = _reduced_system(z, mu, mode)
     basis = [Matrix.from_rows([list(v[i * n:(i + 1) * n]) for i in range(n)])
              for v in nullspace(system)]
     residuals = poly_expand_quadratic(basis, "square-is-zero")

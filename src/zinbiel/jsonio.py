@@ -41,10 +41,28 @@ def dumps(data) -> str:
 
 # -- scalars and shapes ----------------------------------------------------
 
+# Python's default limit on int-to-str conversion: a longer numerator or
+# denominator could be read but not printed back.
+MAX_DIGITS = 4300
+
+
+def _digits(s: str) -> int:
+    """An upper bound on the digits of Fraction(s), found without building
+    it: the digits written plus the size of a decimal exponent."""
+    mantissa, _, exponent = s.lower().partition("e")
+    written = sum(c.isdecimal() for c in mantissa)
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not exponent.isdecimal():
+        return written
+    return written + (int(exponent) if len(exponent) <= 9 else 10 ** 9)
+
+
 def _rational(x, path) -> Fraction:
     if isinstance(x, float):
         raise FormatError(path, "floats are not exact; write \"%r\" as a "
                           "rational string instead" % x)
+    if isinstance(x, str) and _digits(x) > MAX_DIGITS:
+        raise FormatError(path, f"more than {MAX_DIGITS} digits")
     try:
         return rat(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -47,6 +47,14 @@ class TestCheck:
         assert run(["check", "zinbiel", path]) == 2
         assert "products.1,1.1" in capsys.readouterr().err
 
+    def test_oversized_rational_names_the_field(self, tmp_path, capsys):
+        path = write(tmp_path, "huge.json",
+                     '{"dim": 2, "products": {"1,2": {"2": "1e400000"}}}')
+        assert run(["check", "zinbiel", path]) == 2
+        err = capsys.readouterr().err
+        assert "products.1,2.2: more than 4300 digits" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run(["check", "zinbiel", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -62,6 +70,41 @@ class TestCheck:
     def test_usage_error(self, capsys):
         assert run(["check", "nonsense", "x.json"]) == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+NOT_ZINBIEL = {"dim": 1, "products": {"1,1": {"1": "1"}}}   # e1.e1 = e1
+NULL_LINE = {"dim": 1}
+
+# Every check and build subject on a structure whose base (or top)
+# algebra is not Zinbiel.  `check zinbiel` is missing on purpose: there the
+# identity is the subject, not a precondition, and its FAIL is exit 1.
+NON_ZINBIEL_CASES = [
+    (verb, subject, doc)
+    for verb, subjects in (
+        ("check", ("datum", "crossed", "matched", "flag", "bimodule")),
+        ("build", ("unified", "semidirect", "crossed", "bicrossed", "flag",
+                   "rdeform")))
+    for subject in subjects
+    for doc in (
+        [{"base": NOT_ZINBIEL, "top": NULL_LINE},
+         {"base": NULL_LINE, "top": NOT_ZINBIEL}]
+        if subject in ("crossed", "matched", "bicrossed", "rdeform")
+        else [{"base": NOT_ZINBIEL, "dimV": 1}])
+]
+
+
+@pytest.mark.parametrize(
+    "verb,subject,doc", NON_ZINBIEL_CASES,
+    ids=[f"{v}-{s}-{'base' if d['base'] is NOT_ZINBIEL else 'top'}"
+         for v, s, d in NON_ZINBIEL_CASES])
+def test_non_zinbiel_input_is_unusable(tmp_path, capsys, verb, subject, doc):
+    paths = [write(tmp_path, "in.json", doc)]
+    if subject == "rdeform":
+        paths.append(write(tmp_path, "r.json", "[[0]]\n"))
+    assert run([verb, subject, *paths]) == 2
+    err = capsys.readouterr().err
+    assert "must be Zinbiel" in err
+    assert "Traceback" not in err
 
 
 class TestSolve:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,69 @@ def test_nullspace_vectors_are_solutions(m):
         )
         assert all(x == 0 for x in image)
     assert rank(m) + len(basis) == m.cols
+
+
+def reference_nullspace(m):
+    """The rref route: free coordinate 1, pivot coordinates read off the
+    reduced rows, then scaled to a primitive integer vector."""
+    if m.rows == 0:
+        return [vunit(m.cols, j) for j in range(m.cols)]
+    red, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.at(r, fc)
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(Fraction(x // g) for x in ints))
+    return basis
+
+
+@st.composite
+def redundant_matrices(draw):
+    """Rational rows plus zero rows, copies, multiples and combinations of
+    them, in a drawn order."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(rationals)
+        extra.append(draw(st.sampled_from([
+            [0] * cols, list(a), [c * x for x in a],
+            [x + c * y for x, y in zip(a, b)]])))
+    everything = rows + extra
+    order = draw(st.permutations(range(len(everything))))
+    return Matrix.from_rows([everything[i] for i in order])
+
+
+@given(small_matrices)
+@settings(max_examples=60)
+def test_nullspace_matches_rref_route(m):
+    assert nullspace(m) == reference_nullspace(m)
+
+
+@given(redundant_matrices())
+@settings(max_examples=60)
+def test_nullspace_matches_rref_route_on_redundant_rows(m):
+    assert nullspace(m) == reference_nullspace(m)
+
+
+def test_nullspace_ignores_zero_duplicate_and_dependent_rows():
+    m = Matrix.from_rows([[0, 0, 0, 0], ["1/2", 1, 0, "-3/4"], [0, 0, 0, 0],
+                          [2, 4, 0, -3], ["1/2", 1, 0, "-3/4"],
+                          [0, 0, 1, 1], [1, 2, 1, "-1/2"]])
+    assert nullspace(m) == reference_nullspace(m) == [
+        (Fraction(-2), Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(3), Fraction(0), Fraction(-2), Fraction(2))]
+
+
+def test_nullspace_without_rows_is_standard_basis():
+    assert nullspace(Matrix(0, 2, ())) == [vunit(2, 0), vunit(2, 1)]
 
 
 def test_inverse_known():

@@ -1,16 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zinbiel.catalog import get_base_algebra
-from zinbiel.core import Algebra, is_zinbiel
-from zinbiel.exactlin import Matrix, Tensor3, rat, vadd, vscale, vsub, vzero
+from zinbiel.core import Algebra, change_of_basis, is_zinbiel
+from zinbiel.exactlin import (Matrix, Tensor3, poly_expand_quadratic, rat,
+                              rref, vadd, vscale, vsub, vzero)
 from zinbiel.extending import build_unified
 from zinbiel.flag import (FLAG_LABELS, FlagDatum, FlagEquivalenceWitness,
                           SolutionFamily, build_flag_extension,
-                          flag_equivalent, flag_to_datum, mu_constraints,
-                          solve_reduced, verify_flag)
+                          _reduced_system, flag_equivalent, flag_to_datum,
+                          mu_constraints, solve_reduced, verify_flag)
 
 A1 = get_base_algebra("A1")
 A2 = get_base_algebra("A2")
@@ -251,6 +256,99 @@ class TestSolveReduced:
         assert verify_flag(lift(good)).passed
         assert [p.evaluate(bad) for p in fam.residuals] == [1, 0, 0]
         assert not verify_flag(lift(bad)).passed
+
+
+def elementary_system(z, mu, mode):
+    """Reference assembly: every linear condition of the reduced system
+    evaluated at each elementary matrix E_ab gives column a n + b."""
+    n = z.dim
+    e, prod = z.unit, z.product
+    pairs = list(itertools.product(range(n), range(n)))
+
+    def mu_comp(m):
+        return [sum((c * w for c, w in zip(m.apply(e(i)), mu)), Fraction(0))
+                for i in range(n)]
+
+    def left_mult(m):       # x.D(y) = 0
+        return [c for i, j in pairs for c in prod(e(i), m.apply(e(j)))]
+
+    def f3(m):              # D(x.y) + D(y.x) = D(x).y + mu(x) D(y)
+        return [c for i, j in pairs for c in vsub(
+            vadd(m.apply(prod(e(i), e(j))), m.apply(prod(e(j), e(i)))),
+            vadd(prod(m.apply(e(i)), e(j)), vscale(mu[i], m.apply(e(j)))))]
+
+    def f4(m):              # T(x.y) = T(x).y
+        return [c for i, j in pairs for c in vsub(
+            m.apply(prod(e(i), e(j))), prod(m.apply(e(i)), e(j)))]
+
+    def f4x(m):             # T(x).y = x.T(y) + mu(y) T(x)
+        return [c for i, j in pairs for c in vsub(
+            prod(m.apply(e(i)), e(j)),
+            vadd(prod(e(i), m.apply(e(j))), vscale(mu[j], m.apply(e(i)))))]
+
+    conds = (mu_comp, left_mult, f3) if mode == "D" else (mu_comp, f4, f4x)
+    columns = []
+    for a, b in pairs:
+        unit = Matrix.from_rows([[int((r, c) == (a, b)) for c in range(n)]
+                                 for r in range(n)])
+        columns.append([v for cond in conds for v in cond(unit)])
+    return Matrix.from_rows(list(zip(*columns)))
+
+
+def reference_family(z, mu, mode):
+    """Reference solve: elementary-matrix assembly, then the nullspace
+    read off rref and scaled to primitive integer vectors."""
+    n = z.dim
+    system = elementary_system(z, mu, mode)
+    red, pivots = rref(system)
+    basis = []
+    for fc in (c for c in range(n * n) if c not in pivots):
+        v = [Fraction(0)] * (n * n)
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.at(r, fc)
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        basis.append(Matrix(n, n, tuple(Fraction(x // g) for x in ints)))
+    return system, basis, poly_expand_quadratic(basis)
+
+
+def free_zinbiel(n):
+    """F_n: e_i.e_j = C(i+j-1, i-1) e_{i+j} for i + j <= n."""
+    return Algebra(n, Tensor3.from_map(n, n, n, {
+        (i - 1, j - 1, i + j - 1): comb(i + j - 1, i - 1)
+        for i in range(1, n) for j in range(1, n + 1 - i)}))
+
+
+ORACLE_BASES = [A1, A2, A3, A4, a5(1), a5(Fraction(-7, 3)), A6,
+                free_zinbiel(3), free_zinbiel(4), free_zinbiel(5)]
+
+
+@st.composite
+def reduced_systems(draw):
+    """A base in a basis of random signs, a functional (zero half the
+    time) and a mode."""
+    base = draw(st.sampled_from(ORACLE_BASES))
+    n = base.dim
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    z = change_of_basis(base, Matrix.from_rows(
+        [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    mu = draw(st.one_of(st.just((Fraction(0),) * n),
+                        st.tuples(*[values] * n)))
+    return z, mu, draw(st.sampled_from(["D", "T"]))
+
+
+@given(reduced_systems())
+@settings(max_examples=40, deadline=None)
+def test_solve_reduced_matches_elementary_matrix_route(case):
+    z, mu, mode = case
+    system, basis, residuals = reference_family(z, mu, mode)
+    assert _reduced_system(z, mu, mode) == system
+    fam = solve_reduced(z, mu, mode)
+    assert fam.linear_basis == tuple(basis)
+    assert fam.residuals == tuple(residuals)
 
 
 class TestMuConstraints:

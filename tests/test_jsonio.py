@@ -63,6 +63,31 @@ class TestAlgebra:
         assert dumps(algebra_to_json(a)).endswith("\n")
 
 
+class TestRationalSize:
+    # Refused on the written text, before Fraction() builds anything; the
+    # strings stay short, so the limit is reached through the exponent.
+    @pytest.mark.parametrize("text", [
+        "1e4300", "1E+4300", "1e-4300", "1.5e4299", "-2e0_4300",
+        "1e99999999999999999999", "3" * 2200 + "/" + "7" * 2200])
+    def test_too_many_digits_refused_with_path(self, text):
+        doc = {"dim": 1, "products": {"1,1": {"1": text}}}
+        with pytest.raises(FormatError,
+                           match=r"products\.1,1\.1: more than 4300 digits"):
+            algebra_from_json(doc)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e4299", Fraction(10) ** 4299), ("25e-2", Fraction(1, 4)),
+        ("1_000", Fraction(1000)), ("-3/6", Fraction(-1, 2))])
+    def test_within_limit_accepted(self, text, value):
+        doc = {"dim": 1, "products": {"1,1": {"1": text}}}
+        assert algebra_from_json(doc).mult.at(0, 0, 0) == value
+
+    def test_malformed_exponent_is_not_a_rational(self):
+        doc = {"dim": 1, "products": {"1,1": {"1": "1e4x"}}}
+        with pytest.raises(FormatError, match="not a rational"):
+            algebra_from_json(doc)
+
+
 class TestDatum:
     def test_round_trip(self):
         d = get_extension_datum("D5", {"lambda": 2, "a13": 3, "a23": -1})
